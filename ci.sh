@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Open-dispatch invariant: the serving layer resolves methods through the
 # registry; a `match` on `ExplainMethod::` variants creeping back into the
@@ -21,24 +21,11 @@ for f in crates/nfv-serve/src/worker.rs crates/nfv-serve/src/registry.rs; do
   fi
 done
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
-# Kernel matrix: the nfv-ml SoA suite once per forced traversal kernel, so
-# a bit-identity bug in any kernel fails CI even on hosts where calibration
-# would never pick it. Kernels needing an ISA the host lacks are skipped
-# (the force-env resolution degrades them to scalar, which arm 1 covers).
-echo "==> nfv-ml kernel matrix (NFV_ML_KERNEL=scalar|avx2|lane[|avx512])"
-kernels="scalar"
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then kernels="$kernels avx2 lane"; fi
-if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then kernels="$kernels avx512"; fi
-for k in $kernels; do
-  echo "    --- NFV_ML_KERNEL=$k"
-  NFV_ML_KERNEL="$k" cargo test -q -p nfv-ml soa
-done
-
-echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> bench smoke (serve_throughput + explain_latency + soa_kernels --test)"
 cargo bench -p nfv-bench --bench serve_throughput -- --test

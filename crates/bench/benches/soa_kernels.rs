@@ -1,12 +1,8 @@
-//! SoA traversal kernels head-to-head: the same 64-coalition × 12-row
-//! composite block through every traversal kernel the engine ships
-//! (scalar register-chunked, AVX2 row-major gathers, lane-major, AVX-512),
-//! at d ∈ {8, 14, 20}, plus a fused-replay case with duplicate composite
-//! rows that prices the adjacent-dedup pass.
-//!
-//! Kernels are forced via [`set_force_kernel`]; ISAs the host lacks are
-//! skipped (the force call refuses and reports `false`). Every kernel is
-//! bit-identical — these cases measure time, never accuracy.
+//! SoA traversal kernel cost: the same 64-coalition × 12-row composite
+//! block through the scalar register-chunked kernel at d ∈ {8, 14, 20},
+//! plus a fused-replay case with duplicate composite rows that prices the
+//! adjacent-dedup pass. Results are bit-identical either way — these cases
+//! measure time, never accuracy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nfv_bench::SizedTask;
@@ -27,7 +23,7 @@ fn coalitions(d: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Every kernel at every dimension. One 64×12 coalition block per
+/// The kernel at every dimension. One 64×12 coalition block per
 /// iteration — the exact shape `coalition_values` hands the engine on the
 /// serve hot path — so these medians are directly comparable with
 /// `coalition_eval_d14_forest50/batched_block_64x12`.
@@ -39,24 +35,14 @@ fn bench_kernels(c: &mut Criterion) {
         let x = task.data.row(3).to_vec();
         let memberships = coalitions(d);
         let mut ws = CoalitionWorkspace::default();
-        for k in [Kernel::Scalar, Kernel::Avx2, Kernel::Lane, Kernel::Avx512] {
-            if !set_force_kernel(Some(k)) {
-                println!(
-                    "soa_kernels: {} unavailable on this host, skipped",
-                    k.name()
-                );
-                continue;
-            }
-            g.bench_function(format!("{}_d{d}_64x12", k.name()), |b| {
-                b.iter(|| {
-                    task.background
-                        .coalition_values(&task.packed, &x, &memberships, &mut ws)
-                        .iter()
-                        .sum::<f64>()
-                })
-            });
-        }
-        set_force_kernel(None);
+        g.bench_function(format!("scalar_d{d}_64x12"), |b| {
+            b.iter(|| {
+                task.background
+                    .coalition_values(&task.packed, &x, &memberships, &mut ws)
+                    .iter()
+                    .sum::<f64>()
+            })
+        });
     }
     g.finish();
 }

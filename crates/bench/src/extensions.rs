@@ -386,11 +386,11 @@ pub fn serve(quick: bool, max_shards: usize, net: bool) {
                     )
                     .expect("register");
                 // Warm-up outside the working set and the timed window:
-                // the first uncached request triggers one-time engine
-                // calibration whose inflated service sample would seed the
-                // admission EWMA; with a tight budget that poisoned
-                // estimate rejects everything and, starved of admitted
-                // samples, never decays. A few generous-budget requests
+                // the first uncached request pays one-time start-up costs
+                // (cold caches, first allocations), whose inflated service
+                // sample would seed the admission EWMA; with a tight
+                // budget that poisoned estimate rejects everything and,
+                // starved of admitted samples, never decays. A few generous-budget requests
                 // settle the estimate first (a real deployment's canary
                 // traffic does the same).
                 for i in 0..8 {

@@ -1,9 +1,8 @@
-//! Structure-of-arrays tree-ensemble engine: the SIMD-friendly packed form
-//! of [`DecisionTree`] ensembles that the coalition hot path evaluates.
+//! Structure-of-arrays tree-ensemble engine: the packed form of
+//! [`DecisionTree`] ensembles that the coalition hot path evaluates.
 //!
 //! The arena-of-structs layout ([`crate::tree::TreeNode`] is 48 bytes)
-//! costs a scattered cache line per node visit and leaves the compare /
-//! child-select scalar. [`SoaForest`] flattens every tree of an ensemble
+//! costs a scattered cache line per node visit. [`SoaForest`] flattens every tree of an ensemble
 //! into parallel arrays —
 //!
 //! - `thresh: Vec<f64>` — split thresholds (f64 because bit-identity with
@@ -28,58 +27,29 @@
 //! land in the sink's right slot exactly like the reference walk sends
 //! NaN right).
 //!
-//! Four kernels implement the same descent schedule over this layout:
-//!
-//! - **scalar** — interleaved register-resident chains, `SCALAR_CHUNK`
-//!   rows per fully-unrolled chunk;
-//! - **avx2** — row-major gather kernel: [`LANES`] rows per step as 4-lane
-//!   `vgatherdpd` groups, every group's gathers in flight at once;
-//! - **lane** — lane-major AVX2 kernel: 8 independent composite rows ride
-//!   one-per-lane through the forest; per-lane node data comes from plain
-//!   scalar loads (a manual gather, which beats hardware `vgather` on
-//!   gather-weak cores) while the compare + child-index blend is SIMD, and
-//!   each 8-row tile is transposed feature-major on collection so all
-//!   eight lanes' row values for one feature share a cache line;
-//! - **avx512** — lane-major AVX-512 kernel: 8 rows per 512-bit register,
-//!   `vgatherqpd` node fetches, mask-register compares, and a masked tail
-//!   tile instead of a scalar fallback.
-//!
-//! All four are **bit-identical** — proven by `to_bits` proptests — so the
-//! choice is pure policy: the first sufficiently large block evaluated for
-//! a given forest *shape* (depth × tree-count bucket) races every kernel
-//! the CPU supports and caches the winner per shape (dependent gathers
-//! lose to scalar compare-add chains on several x86-64
-//! microarchitectures, so "AVX2 present" does not imply "AVX2 faster",
-//! and a small warm-up forest must not pin a bad kernel for every model
-//! in a registry). `NFV_ML_KERNEL={scalar,avx2,lane,avx512}` — or
-//! [`set_force_kernel`], or the legacy [`set_force_scalar`] /
-//! `NFV_ML_FORCE_SCALAR` / `NFV_ML_FORCE_SIMD` switches — pin the choice
-//! for tests and A/B measurement.
+//! One kernel walks this layout: interleaved register-resident descent
+//! chains, `SCALAR_CHUNK` rows per fully-unrolled chunk, tree-major so
+//! each tree's arrays stay cache-hot across the whole block. Rows past the
+//! last full chunk take the per-row reference descent. Vector kernels
+//! (AVX2 gathers, lane-major AVX2, AVX-512) over the same layout were
+//! measured and removed: none beat this one at any measured forest shape
+//! (DESIGN.md §9.2).
 //!
 //! Bit-identity to walking [`DecisionTree::output`] per tree and
-//! accumulating in tree order holds on every path: comparisons and sums
-//! stay in f64, the accumulation order is unchanged, and `v <= threshold`
-//! and the AVX2 `_CMP_LE_OQ` predicate agree on every input including NaN
-//! (both send it right).
+//! accumulating in tree order holds on both paths: comparisons and sums
+//! stay in f64, the accumulation order is unchanged, and the step uses the
+//! reference walk's own `v <= threshold` (so NaN goes right in both).
 
-// The only unsafe in the workspace: `std::arch` SIMD intrinsics behind
-// runtime feature detection, plus the `target_feature` functions that hold
-// them. Every pointer fed to a gather is derived from a slice whose bounds
-// are asserted on entry, and lane indices are produced exclusively from
-// in-range node arrays.
+// The only unsafe in the workspace: the scalar kernel's unchecked loads
+// from the node arrays and the row block. Node indices come only from
+// `roots` and `meta`, which the builder keeps inside the arena, and packed
+// feature indices are `< n_features`, so every row load stays inside the
+// block extent `predict_block_into` asserts on entry.
 #![allow(unsafe_code)]
 
 use crate::model::Regressor;
 use crate::tree::DecisionTree;
 use crate::MlError;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-
-/// Rows traversed in lockstep per AVX2-kernel step: independent descent
-/// chains whose gathers overlap. Sized well past the per-chain gather
-/// latency so the out-of-order window always has ready work (empirically
-/// flat from 16 to 128 on current x86-64; 32 balances that against
-/// sink-spin waste on ragged tails).
-pub const LANES: usize = 32;
 
 /// The child-pair base index occupies the low 32 bits of the meta word
 /// (bits 32..48 are zero, the split feature sits at 48..64).
@@ -89,20 +59,6 @@ const PAIR_MASK: u64 = 0xFFFF_FFFF;
 /// independent descent chains to hide the three-load step latency, small
 /// enough that the fully-unrolled chunk state stays in registers.
 const SCALAR_CHUNK: usize = 8;
-
-/// Rows per tile in the lane-major kernels: one row per 64-bit lane of
-/// an AVX-512 register (the AVX2 lane kernel splits the eight lanes over
-/// two 256-bit compares).
-const LANE_ROWS: usize = 8;
-
-#[cfg(target_arch = "x86_64")]
-std::thread_local! {
-    /// Reusable per-thread transposed tile for the lane-major AVX2
-    /// kernel: `LANE_ROWS × n_features` values laid out feature-major
-    /// (`tile[f * LANE_ROWS + lane]`), resized per block, allocated once
-    /// per thread in steady state.
-    static LANE_TILE: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// Row count above which packing an ensemble on the fly pays for itself
 /// for a one-shot [`Regressor::predict_block`] call: the `O(nodes)` build
@@ -171,290 +127,12 @@ pub struct SoaForest {
     n_features: usize,
     /// Prediction post-processing.
     post: EnsemblePost,
-    /// Calibration shape key (see [`shape_key`]): forests of the same
-    /// depth/tree-count bucket share one cached kernel verdict.
-    shape_key: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Kernel policy: runtime ISA detection gates *eligibility*; the choice
-// among the (bit-identical) kernels is decided empirically — the first
-// large block of each forest shape races every available kernel and
-// caches the winner per shape — with explicit overrides for tests and
-// A/B measurement.
-// ---------------------------------------------------------------------------
-
-/// The bit-identical traversal kernels (see the module docs for the
-/// layout each one takes through the same SoA arrays).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Portable register-chunked scalar kernel.
-    Scalar,
-    /// Row-major AVX2 gather kernel ([`LANES`] interleaved chains).
-    Avx2,
-    /// Lane-major AVX2 kernel (8 rows one-per-lane, manual gathers,
-    /// transposed feature-major tiles).
-    Lane,
-    /// Lane-major AVX-512 kernel (`vgatherqpd`, masked tail).
-    Avx512,
-}
-
-impl Kernel {
-    /// Every kernel, scalar first (calibration ties resolve to the
-    /// earliest entry).
-    pub const ALL: [Kernel; 4] = [Kernel::Scalar, Kernel::Avx2, Kernel::Lane, Kernel::Avx512];
-
-    /// The `NFV_ML_KERNEL` spelling of this kernel.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Avx2 => "avx2",
-            Kernel::Lane => "lane",
-            Kernel::Avx512 => "avx512",
-        }
-    }
-
-    /// Parses an `NFV_ML_KERNEL` value (`simd` is accepted as a legacy
-    /// alias for `avx2`).
-    pub fn parse(s: &str) -> Option<Kernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Kernel::Scalar),
-            "avx2" | "simd" => Some(Kernel::Avx2),
-            "lane" => Some(Kernel::Lane),
-            "avx512" => Some(Kernel::Avx512),
-            _ => None,
-        }
-    }
-
-    /// True when this CPU can run the kernel.
-    pub fn available(self) -> bool {
-        match self {
-            Kernel::Scalar => true,
-            Kernel::Avx2 | Kernel::Lane => avx2_detected(),
-            Kernel::Avx512 => avx512_detected(),
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            Kernel::Scalar => 0,
-            Kernel::Avx2 => 1,
-            Kernel::Lane => 2,
-            Kernel::Avx512 => 3,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Kernel> {
-        Kernel::ALL.get(c as usize).copied()
-    }
-}
-
-/// Forced-kernel override state: environment not consulted yet.
-const F_UNRESOLVED: u8 = 0xFF;
-/// No override: calibrate per forest shape.
-const F_AUTO: u8 = 0xFE;
-/// Anything else is `Kernel::code` of a pinned kernel.
-static FORCED: AtomicU8 = AtomicU8::new(F_UNRESOLVED);
-
-/// Most recent calibration verdict (`code + 1`; 0 = none yet), kept for
-/// observability ([`active_kernel_name`]) and [`simd_active`].
-static LAST_VERDICT: AtomicU8 = AtomicU8::new(0);
-
-/// Per-shape calibration cache: open-addressed, lock-free, lossy (once
-/// full of other shapes, new shapes simply re-calibrate per large block).
-/// Each entry packs the shape key's high 56 bits with `verdict code + 1`
-/// in the low byte; 0 marks an empty slot.
-const CALIB_SLOTS: usize = 32;
-static CALIB_CACHE: [AtomicU64; CALIB_SLOTS] = [const { AtomicU64::new(0) }; CALIB_SLOTS];
-
-/// Minimum block work (`rows × trees`) for a calibration run to be
-/// trustworthy; smaller blocks run scalar without committing a choice.
-const CALIBRATE_MIN_WORK: usize = 4096;
-
-fn env_truthy(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false)
-}
-
-/// The kernel pinned by an override, if any, resolving environment
-/// variables on first touch. `NFV_ML_KERNEL` wins over the legacy
-/// `NFV_ML_FORCE_SCALAR` / `NFV_ML_FORCE_SIMD` switches; an explicitly
-/// requested kernel the CPU cannot run degrades deterministically to
-/// scalar (never silently back to auto-SIMD).
-fn forced_kernel() -> Option<Kernel> {
-    match FORCED.load(Ordering::Relaxed) {
-        F_UNRESOLVED => {
-            let f = forced_from_env();
-            FORCED.store(f.map_or(F_AUTO, Kernel::code), Ordering::Relaxed);
-            f
-        }
-        F_AUTO => None,
-        c => Kernel::from_code(c),
-    }
-}
-
-fn forced_from_env() -> Option<Kernel> {
-    if let Ok(v) = std::env::var("NFV_ML_KERNEL") {
-        if let Some(k) = Kernel::parse(&v) {
-            return Some(if k.available() { k } else { Kernel::Scalar });
-        }
-    }
-    if env_truthy("NFV_ML_FORCE_SCALAR") {
-        return Some(Kernel::Scalar);
-    }
-    if env_truthy("NFV_ML_FORCE_SIMD") && Kernel::Avx2.available() {
-        return Some(Kernel::Avx2);
-    }
-    None
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_detected() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx2_detected() -> bool {
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx512_detected() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx512_detected() -> bool {
-    false
-}
-
-/// Pins one kernel for every blocked traversal (`Some`) or returns the
-/// policy to per-shape calibration (`None`). Returns `false` — leaving
-/// the policy untouched — when the requested kernel is not available on
-/// this CPU, so tests and benches can skip ISA arms the machine cannot
-/// run.
-pub fn set_force_kernel(k: Option<Kernel>) -> bool {
-    match k {
-        Some(k) if !k.available() => false,
-        Some(k) => {
-            FORCED.store(k.code(), Ordering::Relaxed);
-            true
-        }
-        None => {
-            FORCED.store(F_AUTO, Ordering::Relaxed);
-            true
-        }
-    }
-}
-
-/// Forces the portable scalar traversal on (`true`) or returns the policy
-/// to per-shape calibration (`false`). Legacy spelling of
-/// [`set_force_kernel`], kept for the bit-identity test suites.
-pub fn set_force_scalar(force: bool) {
-    set_force_kernel(force.then_some(Kernel::Scalar));
-}
-
-/// Forces the AVX2 gather kernel on (`true`) or returns the policy to
-/// per-shape calibration (`false`). Returns `false` — leaving the policy
-/// untouched — when AVX2 is not available on this CPU, so callers (e.g.
-/// fused-vs-unfused bit-identity proptests) can skip the SIMD arm on
-/// machines that cannot run it.
-pub fn set_force_simd(force: bool) -> bool {
-    set_force_kernel(force.then_some(Kernel::Avx2))
-}
-
-/// True when blocked traversals currently take a SIMD kernel: either one
-/// is pinned, or the most recent shape calibration picked one. Before the
-/// first calibrating block this reports `false` (the scalar kernel runs
-/// until a choice is made).
-pub fn simd_active() -> bool {
-    match forced_kernel() {
-        Some(k) => k != Kernel::Scalar,
-        None => match LAST_VERDICT.load(Ordering::Relaxed) {
-            0 => false,
-            c => Kernel::from_code(c - 1) != Some(Kernel::Scalar),
-        },
-    }
-}
-
-/// Name of the kernel the policy currently routes large blocks to: the
-/// pinned kernel if one is forced, else the most recent calibration
-/// verdict, else `"auto"` before any shape has calibrated. With several
-/// forest shapes live, the auto verdict is per-shape; this reports the
-/// most recent one (an observability hint surfaced in serve stats, not a
-/// contract).
+/// Name of the SoA traversal kernel, as reported in serve stats. There is
+/// one kernel, so this is always `"scalar"`.
 pub fn active_kernel_name() -> &'static str {
-    match forced_kernel() {
-        Some(k) => k.name(),
-        None => match LAST_VERDICT.load(Ordering::Relaxed) {
-            0 => "auto",
-            c => Kernel::from_code(c - 1).map_or("auto", Kernel::name),
-        },
-    }
-}
-
-/// Cached calibration verdict for a forest shape, if any.
-fn calib_lookup(shape_key: u64) -> Option<Kernel> {
-    let tag = shape_key & !0xFF;
-    let mut i = (shape_key >> 8) as usize % CALIB_SLOTS;
-    for _ in 0..CALIB_SLOTS {
-        let e = CALIB_CACHE[i].load(Ordering::Relaxed);
-        if e == 0 {
-            return None;
-        }
-        if e & !0xFF == tag {
-            return Kernel::from_code((e & 0xFF) as u8 - 1);
-        }
-        i = (i + 1) % CALIB_SLOTS;
-    }
-    None
-}
-
-/// Publishes a calibration verdict for a forest shape. Safe to race: all
-/// kernels are bit-identical, so whichever concurrent verdict lands only
-/// affects future speed.
-fn calib_store(shape_key: u64, k: Kernel) {
-    LAST_VERDICT.store(k.code() + 1, Ordering::Relaxed);
-    let tag = shape_key & !0xFF;
-    let entry = tag | (k.code() as u64 + 1);
-    let mut i = (shape_key >> 8) as usize % CALIB_SLOTS;
-    for _ in 0..CALIB_SLOTS {
-        let e = CALIB_CACHE[i].load(Ordering::Relaxed);
-        if e == 0 {
-            // Claim the empty slot; losing the race to a different shape
-            // just means probing on.
-            if CALIB_CACHE[i]
-                .compare_exchange(0, entry, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-                || CALIB_CACHE[i].load(Ordering::Relaxed) & !0xFF == tag
-            {
-                return;
-            }
-        } else if e & !0xFF == tag {
-            CALIB_CACHE[i].store(entry, Ordering::Relaxed);
-            return;
-        }
-        i = (i + 1) % CALIB_SLOTS;
-    }
-    // Table full of other shapes: verdict stays uncached and this shape
-    // re-calibrates per large block — correct, merely slower.
-}
-
-/// Hashes the calibration shape of a forest: max tree depth and the
-/// power-of-two bucket of the tree count. Forests agreeing on both run
-/// the same traversal schedule to within a small constant, so one verdict
-/// serves them all; bit 8 is forced so the tag (high 56 bits) is never
-/// zero, which is the cache's empty-slot marker.
-fn shape_key(max_depth: u32, n_trees: usize) -> u64 {
-    let bucket = n_trees.max(1).next_power_of_two().trailing_zeros();
-    let mut h = ((max_depth as u64) << 32 | bucket as u64) ^ 0x9E37_79B9_7F4A_7C15;
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
-    h | 1 << 8
+    "scalar"
 }
 
 impl SoaForest {
@@ -497,7 +175,6 @@ impl SoaForest {
             depth: Vec::with_capacity(trees.len()),
             n_features,
             post,
-            shape_key: 0,
         };
         for tree in trees {
             if tree.n_features != n_features {
@@ -562,7 +239,6 @@ impl SoaForest {
             }
             debug_assert_eq!(next_free, start + n_slots);
         }
-        f.shape_key = shape_key(f.depth.iter().copied().max().unwrap_or(0), f.roots.len());
         Ok(f)
     }
 
@@ -629,81 +305,9 @@ impl SoaForest {
             out.len() * d,
             "flat block must hold out.len() rows of n_features values"
         );
-        if out.is_empty() {
-            return;
-        }
         out.fill(0.0);
-        let chosen = forced_kernel().or_else(|| calib_lookup(self.shape_key));
-        match chosen {
-            Some(k) => self.run_kernel(k, flat, out),
-            None if out.len() * self.roots.len() >= CALIBRATE_MIN_WORK => {
-                self.calibrate_block(flat, out)
-            }
-            None => self.accumulate_block_scalar(flat, out),
-        }
+        self.accumulate_block_scalar(flat, out);
         self.finish(out);
-    }
-
-    /// Dispatches one zeroed output block to a kernel the policy chose.
-    /// Every kernel *accumulates* tree sums into `out` and assumes the
-    /// caller zeroed it.
-    fn run_kernel(&self, k: Kernel, flat: &[f64], out: &mut [f64]) {
-        match k {
-            Kernel::Scalar => self.accumulate_block_scalar(flat, out),
-            // Safety (all three arms): the policy only yields kernels
-            // whose `Kernel::available` check passed — the forced setters
-            // and the calibration candidate filter both verify — so the
-            // required ISA is present.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { self.accumulate_block_avx2(flat, out) },
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Lane => unsafe { self.accumulate_block_lane(flat, out) },
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => unsafe { self.accumulate_block_avx512(flat, out) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.accumulate_block_scalar(flat, out),
-        }
-    }
-
-    /// Races every kernel this CPU can run over the block — an untimed
-    /// warm-up pass each (so whichever runs later does not unfairly
-    /// inherit hot caches), then two alternating timed rounds with each
-    /// kernel keeping its best, so a one-off stall can't flip the verdict
-    /// — and caches the winner for this forest *shape*. Safe to race
-    /// across threads: all kernels are bit-identical, so whichever
-    /// verdict lands only affects future speed. The duplicated work is
-    /// one block, once per shape per process. Ties resolve to the
-    /// earliest [`Kernel::ALL`] entry (scalar).
-    fn calibrate_block(&self, flat: &[f64], out: &mut [f64]) {
-        let candidates: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.available()).collect();
-        if candidates.len() == 1 {
-            self.accumulate_block_scalar(flat, out);
-            calib_store(self.shape_key, Kernel::Scalar);
-            return;
-        }
-        for &k in &candidates {
-            out.fill(0.0);
-            self.run_kernel(k, flat, out);
-        }
-        let mut ns = [u128::MAX; Kernel::ALL.len()];
-        for _ in 0..2 {
-            for &k in &candidates {
-                out.fill(0.0);
-                let t = std::time::Instant::now();
-                self.run_kernel(k, flat, out);
-                let slot = &mut ns[k.code() as usize];
-                *slot = (*slot).min(t.elapsed().as_nanos());
-            }
-        }
-        let mut best = candidates[0];
-        for &k in &candidates[1..] {
-            if ns[k.code() as usize] < ns[best.code() as usize] {
-                best = k;
-            }
-        }
-        calib_store(self.shape_key, best);
-        // `out` holds the final timed run — valid regardless of which
-        // kernel it was, since all of them are bit-identical.
     }
 
     #[inline]
@@ -714,19 +318,20 @@ impl SoaForest {
         }
     }
 
-    /// Portable kernel: interleaved scalar lanes over the SoA arrays,
-    /// tree-major so each (small) tree's arrays stay cache-hot across the
-    /// whole block. Rows advance in fixed chunks of `SCALAR_CHUNK` whose
-    /// descent indices live entirely in registers: the chunk loop has
-    /// constant bounds, so it fully unrolls and scalar-replaces the index
-    /// array — no per-step spill/reload. Three unchecked loads per
-    /// lane-step (`meta`, `thresh`, row value); the step itself is
-    /// compare-and-add (see the module docs for why it must not contain a
-    /// select). Safety: every node index comes from `roots`/`meta`, which
-    /// the builder constrains to the arena, and the packed feature index
-    /// is `< n_features` for internal nodes (sinks use feature 0), so
-    /// `row_base + feat` stays inside the asserted `out.len() * d` extent
-    /// of `flat`.
+    /// The traversal kernel: adds each tree's output for every row into
+    /// `out`, which the caller zeroed. Interleaved scalar lanes over the
+    /// SoA arrays, tree-major so each (small) tree's arrays stay cache-hot
+    /// across the whole block. Rows advance in fixed chunks of
+    /// `SCALAR_CHUNK` whose descent indices live entirely in registers: the
+    /// chunk loop has constant bounds, so it fully unrolls and
+    /// scalar-replaces the index array — no per-step spill/reload. Three
+    /// unchecked loads per lane-step (`meta`, `thresh`, row value); the
+    /// step itself is compare-and-add (see the module docs for why it must
+    /// not contain a select). Safety: every node index comes from
+    /// `roots`/`meta`, which the builder constrains to the arena, and the
+    /// packed feature index is `< n_features` for internal nodes (sinks use
+    /// feature 0), so `row_base + feat` stays inside the asserted
+    /// `out.len() * d` extent of `flat`.
     fn accumulate_block_scalar(&self, flat: &[f64], out: &mut [f64]) {
         let d = self.n_features;
         let n_rows = out.len();
@@ -765,267 +370,6 @@ impl SoaForest {
             for r in start..n_rows {
                 out[r] += self.tree_output(t, &flat[r * d..(r + 1) * d]);
             }
-        }
-    }
-
-    /// AVX2 gather kernel: [`LANES`] rows per step as `LANES / 4` 4-lane
-    /// f64 groups. Per pass and group: gather each lane's meta word and
-    /// threshold by node index, unpack the feature index with vector
-    /// shifts, gather the four row values by `row_base + feature`, compare
-    /// (`_CMP_LE_OQ` ≡ scalar `<=`), and *subtract* the all-ones compare
-    /// mask from the pair base (`base - (-1) = base + 1` = left) — the
-    /// same compare-and-add descent as the scalar kernel, with every
-    /// group's gathers in flight at once.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available. All gather indices are node
-    /// ids (`< self.thresh.len()`) or `row_base + feat` offsets
-    /// (`< flat.len()`), both enforced by construction and the entry
-    /// assertions in [`SoaForest::predict_block_into`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_block_avx2(&self, flat: &[f64], out: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let d = self.n_features;
-        let n_rows = out.len();
-        let thresh = self.thresh.as_ptr();
-        let meta = self.meta.as_ptr() as *const i64;
-        let value = self.value.as_ptr();
-        let flat_ptr = flat.as_ptr();
-        // Packs the low u32 of each 64-bit lane down to a 4×u32 vector.
-        let pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-        let pair_mask = _mm256_set1_epi64x(PAIR_MASK as i64);
-
-        const GROUPS: usize = LANES / 4;
-        let mut start = 0usize;
-        while start + LANES <= n_rows {
-            for t in 0..self.roots.len() {
-                let root = self.roots[t] as i32;
-                let passes = self.depth[t];
-                // GROUPS independent 4-lane descent chains: the gathers
-                // are high-latency, so what matters is keeping many of
-                // them in flight at once, not the 4-wide math.
-                let mut vidx = [_mm_set1_epi32(root); GROUPS];
-                let mut vbase = [_mm_setzero_si128(); GROUPS];
-                for (g, vb) in vbase.iter_mut().enumerate() {
-                    let r = (start + g * 4) as i32;
-                    *vb = _mm_setr_epi32(
-                        r * d as i32,
-                        (r + 1) * d as i32,
-                        (r + 2) * d as i32,
-                        (r + 3) * d as i32,
-                    );
-                }
-                for _ in 0..passes {
-                    for g in 0..GROUPS {
-                        let idx = vidx[g];
-                        let vthr = _mm256_i32gather_pd::<8>(thresh, idx);
-                        let vmeta = _mm256_i32gather_epi64::<8>(meta, idx);
-                        // feat = meta >> 48, packed down to 32-bit lanes.
-                        let vfeat = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
-                            _mm256_srli_epi64::<48>(vmeta),
-                            pack,
-                        ));
-                        let xi = _mm_add_epi32(vbase[g], vfeat);
-                        let vx = _mm256_i32gather_pd::<8>(flat_ptr, xi);
-                        let m = _mm256_cmp_pd::<_CMP_LE_OQ>(vx, vthr);
-                        // next = pair_base + (v <= thr): the compare mask
-                        // is all-ones (-1) on `<=`, so subtracting it adds
-                        // one, stepping from the right slot to the left.
-                        let base = _mm256_and_si256(vmeta, pair_mask);
-                        let next = _mm256_sub_epi64(base, _mm256_castpd_si256(m));
-                        vidx[g] = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(next, pack));
-                    }
-                }
-                for (g, &idx) in vidx.iter().enumerate() {
-                    let vval = _mm256_i32gather_pd::<8>(value, idx);
-                    let o = out.as_mut_ptr().add(start + g * 4);
-                    let acc = _mm256_loadu_pd(o);
-                    _mm256_storeu_pd(o, _mm256_add_pd(acc, vval));
-                }
-            }
-            start += LANES;
-        }
-        // Tail rows: the scalar reference descent (identical arithmetic).
-        for r in start..n_rows {
-            let row = &flat[r * d..(r + 1) * d];
-            let mut sum = 0.0;
-            for t in 0..self.roots.len() {
-                sum += self.tree_output(t, row);
-            }
-            out[r] += sum;
-        }
-    }
-
-    /// Lane-major AVX2 kernel: [`LANE_ROWS`] independent composite rows
-    /// ride one-per-lane through the forest. Per descent pass the eight
-    /// lanes' node meta/threshold words come from plain scalar loads (a
-    /// manual gather — dependent `vgather` chains are exactly what loses
-    /// to scalar on gather-weak cores), the eight compares run as two
-    /// 4-lane `_CMP_LE_OQ` vectors whose movemask feeds the same
-    /// `pair_base + le` child step, and the row values come from a
-    /// **transposed** feature-major tile built once per 8 rows
-    /// (transpose-on-collect): `tile[f * 8 + lane]` puts all eight lanes'
-    /// values for one feature in a single cache line, so lanes visiting
-    /// the same node — always true at the root, common near the top of a
-    /// tree — hit one line instead of eight. Rows beyond the last full
-    /// tile take the scalar reference descent (identical arithmetic, so
-    /// still bit-exact).
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available. Index/bounds invariants are
-    /// those of [`SoaForest::accumulate_block_avx2`]; the tile is sized
-    /// `8 × n_features` before the SIMD pass runs.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn accumulate_block_lane(&self, flat: &[f64], out: &mut [f64]) {
-        let d = self.n_features;
-        let n_rows = out.len();
-        LANE_TILE.with(|cell| {
-            let mut tile = cell.borrow_mut();
-            tile.clear();
-            tile.resize(LANE_ROWS * d, 0.0);
-            let mut start = 0usize;
-            while start + LANE_ROWS <= n_rows {
-                for l in 0..LANE_ROWS {
-                    let row = &flat[(start + l) * d..(start + l + 1) * d];
-                    for (f, &v) in row.iter().enumerate() {
-                        tile[f * LANE_ROWS + l] = v;
-                    }
-                }
-                // Safety: AVX2 forwarded from the caller; the tile holds
-                // exactly LANE_ROWS transposed rows.
-                unsafe { self.lane_tile(&tile, &mut out[start..start + LANE_ROWS]) };
-                start += LANE_ROWS;
-            }
-            for r in start..n_rows {
-                let row = &flat[r * d..(r + 1) * d];
-                let mut sum = 0.0;
-                for t in 0..self.roots.len() {
-                    sum += self.tree_output(t, row);
-                }
-                out[r] += sum;
-            }
-        });
-    }
-
-    /// One transposed 8-row tile of the lane-major kernel (see
-    /// [`SoaForest::accumulate_block_lane`]).
-    ///
-    /// # Safety
-    /// AVX2 must be available; `tile` holds `8 × n_features` values laid
-    /// out feature-major and `out` exactly [`LANE_ROWS`] entries.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn lane_tile(&self, tile: &[f64], out: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let thresh = self.thresh.as_ptr();
-        let meta = self.meta.as_ptr();
-        let value = self.value.as_ptr();
-        let tp = tile.as_ptr();
-        for t in 0..self.roots.len() {
-            let root = self.roots[t] as usize;
-            let mut idx = [root; LANE_ROWS];
-            for _ in 0..self.depth[t] {
-                // Manual 8-lane gather of node words; the constant-bound
-                // loops fully unroll and the arrays scalar-replace.
-                let mut mv = [0u64; LANE_ROWS];
-                let mut tv = [0f64; LANE_ROWS];
-                let mut xv = [0f64; LANE_ROWS];
-                for l in 0..LANE_ROWS {
-                    mv[l] = *meta.add(idx[l]);
-                    tv[l] = *thresh.add(idx[l]);
-                }
-                for l in 0..LANE_ROWS {
-                    xv[l] = *tp.add(((mv[l] >> 48) as usize) * LANE_ROWS + l);
-                }
-                let le0 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(
-                    _mm256_loadu_pd(xv.as_ptr()),
-                    _mm256_loadu_pd(tv.as_ptr()),
-                )) as u32;
-                let le1 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(
-                    _mm256_loadu_pd(xv.as_ptr().add(4)),
-                    _mm256_loadu_pd(tv.as_ptr().add(4)),
-                )) as u32;
-                let le = le0 | le1 << 4;
-                for (l, i) in idx.iter_mut().enumerate() {
-                    *i = (mv[l] & PAIR_MASK) as usize + ((le >> l) & 1) as usize;
-                }
-            }
-            for (l, &i) in idx.iter().enumerate() {
-                out[l] += *value.add(i);
-            }
-        }
-    }
-
-    /// Lane-major AVX-512 kernel: 8 rows per tile ride one-per-lane
-    /// through a 512-bit register. `vgatherqpd` / `vpgatherqq`
-    /// (`_mm512_mask_i64gather_*`) fetch all eight lanes' thresholds,
-    /// meta words, and row values by 64-bit index in one instruction
-    /// each; the `_CMP_LE_OQ` compare lands in a `__mmask8` whose
-    /// per-lane `+1` is applied with a masked add — the same
-    /// `pair_base + le` step as every other kernel. The ragged tail runs
-    /// the *same* code path under a partial lane mask (masked-off lanes
-    /// gather nothing and store nothing — the "masked sinks" idea) rather
-    /// than a scalar fallback.
-    ///
-    /// Each tile accumulates its tree sum in a register and adds it to
-    /// `out` once. That is bit-identical to the per-tree `out[r] += v`
-    /// of the other kernels: the register starts at `+0.0` exactly like
-    /// the zeroed `out`, so the add sequence per row is unchanged, and
-    /// the final `out[r] + acc` adds `+0.0` to a value that can never be
-    /// `-0.0` (an IEEE sum starting from `+0.0` cannot produce `-0.0`),
-    /// which is an exact identity.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX-512F is available. Index/bounds invariants
-    /// are those of [`SoaForest::accumulate_block_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn accumulate_block_avx512(&self, flat: &[f64], out: &mut [f64]) {
-        use std::arch::x86_64::*;
-        let d = self.n_features;
-        let n_rows = out.len();
-        let thresh = self.thresh.as_ptr();
-        let meta = self.meta.as_ptr() as *const i64;
-        let value = self.value.as_ptr();
-        let flat_ptr = flat.as_ptr();
-        let pair_mask = _mm512_set1_epi64(PAIR_MASK as i64);
-        let one = _mm512_set1_epi64(1);
-        let zero_pd = _mm512_setzero_pd();
-        let zero_i = _mm512_setzero_si512();
-        let mut start = 0usize;
-        while start < n_rows {
-            let rem = (n_rows - start).min(LANE_ROWS);
-            let k: __mmask8 = if rem == LANE_ROWS {
-                0xFF
-            } else {
-                (1u8 << rem) - 1
-            };
-            // Per-lane row base offsets (in f64 elements); inactive lanes
-            // keep 0 and are never dereferenced (the gathers are masked).
-            let mut bases = [0i64; LANE_ROWS];
-            for (l, b) in bases.iter_mut().enumerate().take(rem) {
-                *b = ((start + l) * d) as i64;
-            }
-            let vbase = _mm512_loadu_epi64(bases.as_ptr());
-            let mut acc = zero_pd;
-            for t in 0..self.roots.len() {
-                let mut vidx = _mm512_set1_epi64(self.roots[t] as i64);
-                for _ in 0..self.depth[t] {
-                    let vthr = _mm512_mask_i64gather_pd::<8>(zero_pd, k, vidx, thresh);
-                    let vmeta = _mm512_mask_i64gather_epi64::<8>(zero_i, k, vidx, meta);
-                    let xi = _mm512_add_epi64(vbase, _mm512_srli_epi64::<48>(vmeta));
-                    let vx = _mm512_mask_i64gather_pd::<8>(zero_pd, k, xi, flat_ptr);
-                    let le = _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(k, vx, vthr);
-                    let base = _mm512_and_si512(vmeta, pair_mask);
-                    vidx = _mm512_mask_add_epi64(base, le, base, one);
-                }
-                acc = _mm512_add_pd(acc, _mm512_mask_i64gather_pd::<8>(zero_pd, k, vidx, value));
-            }
-            let o = out.as_mut_ptr().add(start);
-            let prev = _mm512_maskz_loadu_pd(k, o);
-            _mm512_mask_storeu_pd(o, k, _mm512_add_pd(prev, acc));
-            start += LANE_ROWS;
         }
     }
 }
@@ -1121,23 +465,6 @@ mod tests {
             .collect()
     }
 
-    /// Serializes tests that mutate the process-wide forced-kernel
-    /// policy (results stay bit-identical regardless, but policy
-    /// assertions must not observe another test's override).
-    static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// Runs `f` with kernel `k` pinned, restoring auto afterwards.
-    /// `None` when the CPU cannot run `k` (callers skip that arm).
-    fn with_forced<R>(k: Kernel, f: impl FnOnce() -> R) -> Option<R> {
-        let _g = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        if !set_force_kernel(Some(k)) {
-            return None;
-        }
-        let r = f();
-        set_force_kernel(None);
-        Some(r)
-    }
-
     /// Builds a small random synthetic ensemble with *ragged* shapes:
     /// branches terminate early with probability 1/3 and per-tree depth
     /// caps vary up to `max_depth`, so packed pass counts differ per
@@ -1182,9 +509,24 @@ mod tests {
             .collect()
     }
 
+    /// Inputs the reference walk routes by IEEE comparison: NaN fails every
+    /// `<=` and goes right, the infinities are the ordered extremes, and
+    /// −0.0 compares equal to 0.0.
+    const SPECIALS: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+
     fn assert_block_matches_scalar(trees: &[DecisionTree], post: EnsemblePost, d: usize) {
         let soa = SoaForest::from_trees(trees, post).unwrap();
-        let xs = rows(67, d, trees.len() as u64 + d as u64); // odd count → SIMD tail
+        // 67 rows: eight full SCALAR_CHUNK chunks and a 3-row tail.
+        let mut xs = rows(67, d, trees.len() as u64 + d as u64);
+        // Every third row carries special values on half its features:
+        // rows 0..=63 sit in full chunks, row 66 in the tail.
+        for (r, x) in xs.iter_mut().enumerate().step_by(3) {
+            for (f, v) in x.iter_mut().enumerate() {
+                if (r + f) % 2 == 0 {
+                    *v = SPECIALS[(r / 3 + f) % SPECIALS.len()];
+                }
+            }
+        }
         let flat: Vec<f64> = xs.iter().flatten().copied().collect();
         let mut out = vec![0.0; xs.len()];
         soa.predict_block_into(&flat, &mut out);
@@ -1311,140 +653,23 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_forced_scalar_agree_bitwise() {
-        let s = friedman1(600, 11, 0.4, 41).unwrap();
-        let f = RandomForest::fit(
-            &s.data,
-            &ForestParams {
-                n_trees: 12,
-                ..ForestParams::default()
-            },
-            7,
-            1,
-        )
-        .unwrap();
-        let soa = SoaForest::from_forest(&f).unwrap();
-        let xs = rows(113, 11, 3);
-        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        let mut fast = vec![0.0; xs.len()];
-        let mut slow = vec![0.0; xs.len()];
-        let _g = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        soa.predict_block_into(&flat, &mut fast);
-        set_force_scalar(true);
-        assert!(!simd_active());
-        soa.predict_block_into(&flat, &mut slow);
-        set_force_scalar(false);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn kernel_parse_spellings_round_trip() {
-        assert_eq!(Kernel::parse(" AVX2 "), Some(Kernel::Avx2));
-        assert_eq!(Kernel::parse("simd"), Some(Kernel::Avx2), "legacy alias");
-        assert_eq!(Kernel::parse("neon"), None);
-        assert_eq!(Kernel::parse(""), None);
-        for k in Kernel::ALL {
-            assert_eq!(Kernel::parse(k.name()), Some(k));
-            assert_eq!(Kernel::from_code(k.code()), Some(k));
-        }
-        assert!(Kernel::Scalar.available(), "scalar runs everywhere");
-    }
-
-    #[test]
-    fn every_available_kernel_bit_identical_on_fitted_forest() {
-        let s = friedman1(500, 10, 0.3, 43).unwrap();
-        let f = RandomForest::fit(
-            &s.data,
-            &ForestParams {
-                n_trees: 14,
-                ..ForestParams::default()
-            },
-            7,
-            1,
-        )
-        .unwrap();
-        let soa = SoaForest::from_forest(&f).unwrap();
-        // 77 rows exercises every tail at once: 13 rows past the last
-        // 32-row avx2 tile, 5 past the last 8-row lane tile, and a
-        // 5-lane masked avx512 tail.
-        let xs = rows(77, 10, 7);
-        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        let mut want = vec![0.0; xs.len()];
-        with_forced(Kernel::Scalar, || soa.predict_block_into(&flat, &mut want)).unwrap();
-        for k in [Kernel::Avx2, Kernel::Lane, Kernel::Avx512] {
-            let mut got = vec![0.0; xs.len()];
-            if with_forced(k, || soa.predict_block_into(&flat, &mut got)).is_none() {
-                continue; // ISA absent on this machine
-            }
-            for (r, (a, b)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "kernel {} row {r}", k.name());
-            }
-        }
-    }
-
-    #[test]
-    fn max_feature_index_survives_every_kernel() {
+    fn max_feature_index_survives_packing() {
         // d at the u16 cap with a split on the last feature: the
-        // `meta >> 48` unpack must recover 65 535 exactly in every kernel
-        // (including the transposed lane tile and the 64-bit avx512
-        // gather offsets, where a truncated index would read far out of
-        // the intended row).
+        // `meta >> 48` unpack must recover 65 535 exactly.
         let d = u16::MAX as usize + 1;
         let t = tree(vec![split(d - 1, 0.0, 1, 2), leaf(-3.0), leaf(9.0)], d);
         let reference = t.clone();
         let soa = SoaForest::from_trees(&[t], EnsemblePost::Mean).unwrap();
-        // 11 rows: one full 8-row lane tile plus tails on every kernel.
+        // 11 rows: one full SCALAR_CHUNK chunk plus a 3-row tail.
         let mut xs = rows(11, d, 3);
         for (i, x) in xs.iter_mut().enumerate() {
             x[d - 1] = if i % 2 == 0 { 1.0 } else { -1.0 };
         }
         let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        for k in Kernel::ALL {
-            let mut out = vec![0.0; xs.len()];
-            if with_forced(k, || soa.predict_block_into(&flat, &mut out)).is_none() {
-                continue;
-            }
-            for (x, got) in xs.iter().zip(&out) {
-                assert_eq!(
-                    got.to_bits(),
-                    reference.output(x).to_bits(),
-                    "kernel {}",
-                    k.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn calibration_verdict_is_cached_per_shape() {
-        let _g = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_force_kernel(None);
-        // 65 trees → tree-count bucket 128, a shape no other test in
-        // this process builds, so its cache slot starts empty.
-        let trees = synth_trees(65, 3, 6, 99);
-        let soa = SoaForest::from_trees(&trees, EnsemblePost::Mean).unwrap();
-        assert!(
-            calib_lookup(soa.shape_key).is_none(),
-            "shape unexpectedly pre-calibrated"
-        );
-        // 64 rows × 65 trees = 4160 ≥ CALIBRATE_MIN_WORK → calibrates.
-        let xs = rows(64, 6, 1);
-        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
         let mut out = vec![0.0; xs.len()];
         soa.predict_block_into(&flat, &mut out);
-        let verdict = calib_lookup(soa.shape_key).expect("large block must calibrate its shape");
-        assert!(verdict.available());
-        assert_ne!(active_kernel_name(), "auto");
-        // The verdict is keyed by shape: a deeper forest of the same
-        // tree count hashes to a different key (and so calibrates on its
-        // own), and the results stay bit-identical to the reference.
-        let deeper = SoaForest::from_trees(&synth_trees(1, 6, 6, 99), EnsemblePost::Mean).unwrap();
-        assert_ne!(deeper.shape_key, soa.shape_key);
         for (x, got) in xs.iter().zip(&out) {
-            let sum: f64 = trees.iter().map(|t| t.output(x)).sum();
-            assert_eq!(got.to_bits(), (sum / trees.len() as f64).to_bits());
+            assert_eq!(got.to_bits(), reference.output(x).to_bits());
         }
     }
 
@@ -1530,35 +755,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
+            /// The packed descent reproduces the reference per-tree walk
+            /// bit-for-bit over ragged random forests, with `n_rows`
+            /// spanning 1..44 so blocks end in a partial chunk or none.
             #[test]
-            fn synthetic_ensembles_bit_identical(
-                n_trees in 1usize..5,
-                depth in 0usize..5,
-                d in 1usize..20,
-                n_rows in 1usize..40,
-                seed in 1u64..u64::MAX,
-            ) {
-                let trees = synth_trees(n_trees, depth, d, seed);
-                let soa = SoaForest::from_trees(&trees, EnsemblePost::Mean).unwrap();
-                let xs = rows(n_rows, d, seed ^ 0xABCD);
-                let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-                let mut out = vec![0.0; n_rows];
-                soa.predict_block_into(&flat, &mut out);
-                for (x, got) in xs.iter().zip(&out) {
-                    let sum: f64 = trees.iter().map(|t| t.output(x)).sum();
-                    let want = sum / trees.len() as f64;
-                    prop_assert_eq!(got.to_bits(), want.to_bits());
-                }
-            }
-
-            /// The heart of the kernel-equivalence story: every kernel
-            /// the CPU can run, forced in turn, reproduces the reference
-            /// per-tree walk bit-for-bit over ragged random forests and
-            /// block sizes that exercise each kernel's tail path
-            /// (`n_rows` spans 1..44, so 32-row avx2 tiles, 8-row lane
-            /// tiles, and masked avx512 tails all go partial).
-            #[test]
-            fn all_kernels_bit_identical_on_ragged_forests(
+            fn ragged_forests_bit_identical(
                 n_trees in 1usize..5,
                 depth in 0usize..6,
                 d in 1usize..24,
@@ -1569,21 +770,12 @@ mod tests {
                 let soa = SoaForest::from_trees(&trees, EnsemblePost::Mean).unwrap();
                 let xs = rows(n_rows, d, seed ^ 0x5EED);
                 let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-                let want: Vec<f64> = xs
-                    .iter()
-                    .map(|x| {
-                        let sum: f64 = trees.iter().map(|t| t.output(x)).sum();
-                        sum / trees.len() as f64
-                    })
-                    .collect();
-                for k in Kernel::ALL {
-                    let mut out = vec![0.0; n_rows];
-                    if with_forced(k, || soa.predict_block_into(&flat, &mut out)).is_none() {
-                        continue; // ISA absent on this machine
-                    }
-                    for (got, want) in out.iter().zip(&want) {
-                        prop_assert_eq!(got.to_bits(), want.to_bits(), "kernel {}", k.name());
-                    }
+                let mut out = vec![0.0; n_rows];
+                soa.predict_block_into(&flat, &mut out);
+                for (x, got) in xs.iter().zip(&out) {
+                    let sum: f64 = trees.iter().map(|t| t.output(x)).sum();
+                    let want = sum / trees.len() as f64;
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
                 }
             }
 

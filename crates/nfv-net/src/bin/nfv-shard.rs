@@ -14,11 +14,9 @@
 //!
 //! Prints `nfv-shard listening on <addr>` (with the resolved port) on
 //! stdout once ready — supervisors parse this line — then serves until a
-//! Drain message arrives, and exits 0 after the drain completes. Kernel
-//! policy is inherited from the `NFV_ML_KERNEL={scalar,avx2,lane,avx512}`
-//! environment variable (or the legacy `NFV_ML_FORCE_SCALAR` /
-//! `NFV_ML_FORCE_SIMD` switches), read by the model layer itself; unset,
-//! the engine calibrates per forest shape at runtime.
+//! Drain message arrives, and exits 0 after the drain completes. Tree
+//! ensembles are evaluated by the model layer's one SoA traversal kernel,
+//! which has no settings, so every shard process computes the same bits.
 
 use nfv_net::prelude::*;
 use std::io::Write;

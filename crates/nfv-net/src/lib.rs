@@ -33,7 +33,7 @@
 //! (model, method, features, budget) and the shard seed — never on which
 //! transport carried it. `direct == Engine == ServeCluster == NetCluster`
 //! to the last bit; the `wire_bit_identity` integration test enforces all
-//! four, under forced-scalar and forced-SIMD evaluation.
+//! four.
 //!
 //! [`Engine`]: nfv_serve::Engine
 //! [`NetCluster`]: router::NetCluster

@@ -2,13 +2,11 @@
 //! explanation computed (1) directly against the library, (2) by a
 //! single-process [`ServeEngine`], (3) by the in-process [`ServeCluster`],
 //! and (4) by a [`NetCluster`] routing over real TCP connections to shard
-//! servers is **bit-identical** (`f64::to_bits`) — under the forced-scalar
-//! SoA kernel and the forced-SIMD one alike.
+//! servers is **bit-identical** (`f64::to_bits`).
 //!
 //! The wire can uphold this because every f64 crosses as its IEEE-754 bit
 //! pattern and every stochastic explainer is seeded from request content.
-//! The SIMD arms share one `#[test]`: the force switches are process-global
-//! (the shard servers here live in this process, listening on loopback).
+//! The shard servers live in this process, listening on loopback.
 
 use nfv_data::prelude::*;
 use nfv_ml::prelude::*;
@@ -17,6 +15,7 @@ use nfv_serve::cache::CacheKey;
 use nfv_serve::prelude::*;
 use nfv_serve::request::request_seed;
 use nfv_xai::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 42;
@@ -68,64 +67,37 @@ fn methods() -> Vec<ExplainMethod> {
         ExplainMethod::ExactShapley,
         ExplainMethod::GroupedShapley,
         ExplainMethod::Permutation,
+        ExplainMethod::Interactions,
     ]
 }
 
-/// The library-level computation every transport must reproduce, seeded
+/// The library-level computation every transport must reproduce: the
+/// method's explainer built by its `MethodRegistry` factory, seeded
 /// exactly as a shard worker would seed it.
 fn direct(f: &Fixture, x: &[f64], method: ExplainMethod, version: u64, grid: f64) -> Attribution {
     let key = CacheKey::build("m", version, method, x, grid).unwrap();
-    let seed = request_seed(SEED, key.stable_hash());
-    let base = Some(f.background.expected_output(&f.packed));
-    match method {
-        ExplainMethod::TreeShap => gbdt_shap(&f.gbdt, x, &f.names).unwrap(),
-        ExplainMethod::KernelShap { n_coalitions } => kernel_shap(
-            &f.packed,
-            x,
-            &f.background,
-            &f.names,
-            &KernelShapConfig {
-                n_coalitions,
-                ridge: 0.0,
-                seed,
-            },
-        )
-        .unwrap(),
-        ExplainMethod::Lime { n_samples } => {
-            let cfg = LimeConfig {
-                n_samples,
-                seed,
-                ..LimeConfig::default()
-            };
-            lime(&f.packed, x, &f.background, &f.names, &cfg)
-                .unwrap()
-                .attribution
-        }
-        ExplainMethod::SamplingShapley {
-            n_permutations,
-            antithetic,
-        } => sampling_shapley(
-            &f.packed,
-            x,
-            &f.background,
-            &f.names,
-            &SamplingConfig {
-                n_permutations,
-                antithetic,
-                seed,
-            },
-        )
-        .unwrap(),
-        ExplainMethod::ExactShapley => {
-            exact_shapley(&f.packed, x, &f.background, &f.names).unwrap()
-        }
-        ExplainMethod::GroupedShapley => {
-            grouped_shapley(&f.packed, x, &f.background, &f.groups).unwrap()
-        }
-        ExplainMethod::Permutation => {
-            instance_permutation(&f.packed, x, &f.background, &f.names, base).unwrap()
-        }
-    }
+    let explainer = MethodRegistry::global()
+        .get(method.method_id())
+        .expect("built-in method is registered")
+        .instantiate(&MethodConfig {
+            budget: method.budget_word(),
+            n_features: f.names.len(),
+            groups: Some(f.groups.clone()),
+            trees: Some(TreeModel::Gbdt(Arc::new(f.gbdt.clone()))),
+            anytime_divisor: DEFAULT_ANYTIME_DIVISOR,
+        })
+        .unwrap();
+    let ctx = ExplainContext {
+        model: &f.packed,
+        x,
+        background: &f.background,
+        names: &f.names,
+        base_hint: Some(f.background.expected_output(&f.packed)),
+        seed: request_seed(SEED, key.stable_hash()),
+    };
+    explainer
+        .direct(&ctx, &mut CoalitionWorkspace::default())
+        .unwrap()
 }
 
 fn bits(a: &Attribution) -> (Vec<u64>, u64, u64) {
@@ -136,9 +108,9 @@ fn bits(a: &Attribution) -> (Vec<u64>, u64, u64) {
     )
 }
 
-/// One full pass under whichever SoA kernel is currently forced. All four
-/// serving paths are constructed fresh (no cache entry computed under the
-/// other kernel can leak into this arm).
+/// One full pass over all four serving paths, each constructed fresh so
+/// every answer is computed rather than served from a cache. `arm` labels
+/// the failure messages.
 fn run_arm(f: &Fixture, arm: &str) {
     let cfg = ServeConfig {
         seed: SEED,
@@ -239,16 +211,6 @@ fn run_arm(f: &Fixture, arm: &str) {
 }
 
 #[test]
-fn wire_cluster_engine_and_direct_are_bit_identical_under_both_kernels() {
-    let f = fixture();
-
-    set_force_scalar(true);
-    run_arm(&f, "scalar");
-
-    if set_force_simd(true) {
-        run_arm(&f, "simd");
-    } else {
-        eprintln!("host has no SIMD kernel; scalar arm covered the invariant");
-    }
-    set_force_simd(false); // back to runtime detection
+fn wire_cluster_engine_and_direct_are_bit_identical() {
+    run_arm(&fixture(), "scalar");
 }

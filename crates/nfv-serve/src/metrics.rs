@@ -501,9 +501,9 @@ pub struct ServeStats {
     /// (bit-identical to their predecessor; prediction reused).
     #[serde(default)]
     pub dedup_rows_saved: u64,
-    /// The SoA traversal kernel this process has settled on
-    /// (`"scalar"`/`"avx2"`/`"lane"`/`"avx512"`; `"auto"` before the first
-    /// calibration; `"mixed"` in aggregates whose shards disagree).
+    /// The SoA traversal kernel this process runs (`"scalar"`; `"mixed"`
+    /// in aggregates whose shards disagree, such as a cluster spanning
+    /// builds).
     #[serde(default)]
     pub kernel: String,
     /// Requests answered by another request's in-flight computation.

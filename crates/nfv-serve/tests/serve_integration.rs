@@ -388,11 +388,7 @@ fn fused_dedup_savings_surface_in_stats() {
         stats.dedup_rows_saved >= (n_bg as u64 - 1),
         "dedup savings must be observable: {stats:?}"
     );
-    assert!(
-        ["scalar", "avx2", "lane", "avx512", "auto"].contains(&stats.kernel.as_str()),
-        "kernel name must be surfaced: {:?}",
-        stats.kernel
-    );
+    assert_eq!(stats.kernel, "scalar", "kernel name must be surfaced");
     // The savings survive the cluster rollup.
     let agg = ServeStats::aggregate(&[stats.clone(), ServeStats::default()]);
     assert_eq!(agg.dedup_rows_saved, stats.dedup_rows_saved);
